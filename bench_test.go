@@ -9,6 +9,9 @@
 // benchmark subset so the harness can also be exercised rapidly:
 //
 //	go test -bench='Quick|Micro' -benchmem
+//
+// The TestDMU*Allocs tests pin the allocation counts of the DMU
+// micro-benchmarks, which do not depend on the host.
 package repro
 
 import (
@@ -20,6 +23,7 @@ import (
 	"repro/internal/dmu"
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -54,7 +58,7 @@ func benchExperiment(b *testing.B, id string, opt experiments.Options) {
 	for i := 0; i < b.N; i++ {
 		// A fresh cache each iteration so every iteration does the full
 		// set of simulations.
-		opt.Cache = experiments.NewCache()
+		opt.Cache = runner.NewStore()
 		tables, err := exp.Run(opt)
 		if err != nil {
 			b.Fatal(err)
@@ -105,7 +109,7 @@ func benchRunAll(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		// A fresh cache each iteration so every iteration does the full
 		// set of simulations.
-		opt.Cache = experiments.NewCache()
+		opt.Cache = runner.NewStore()
 		if err := experiments.RunAll(opt, io.Discard); err != nil {
 			b.Fatal(err)
 		}
@@ -149,84 +153,122 @@ func BenchmarkRunDedupTDMSuccessor(b *testing.B) {
 
 // --- Micro-benchmarks of the hardware and simulation substrates ---
 
+// dmuRound runs one create/add/submit/retire round of Algorithm 1 on unit:
+// task i gets a single inout dependence and is retired immediately, so the
+// structures never fill.
+func dmuRound(tb testing.TB, unit *dmu.DMU, i int) {
+	d := 0x7000_0000 + uint64(i)*320
+	if _, err := unit.CreateTask(d); err != nil {
+		tb.Fatal(err)
+	}
+	addr := uint64(0x9000_0000 + (i%512)*4096)
+	if _, err := unit.AddDependence(d, addr, 4096, task.InOut); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := unit.SubmitTask(d); err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		rt, _, ok := unit.GetReadyTask()
+		if !ok {
+			break
+		}
+		if _, err := unit.FinishTask(rt.DescAddr); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMicroDMUAddDependence measures the functional cost of Algorithm 1
 // on a warm DMU.
 func BenchmarkMicroDMUAddDependence(b *testing.B) {
 	unit := dmu.New(dmu.DefaultConfig())
-	desc := func(i int) uint64 { return 0x7000_0000 + uint64(i)*320 }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := desc(i)
-		if _, err := unit.CreateTask(d); err != nil {
-			b.Fatal(err)
+		dmuRound(b, unit, i)
+	}
+}
+
+// TestDMUAddDependenceAllocs pins the allocation count of a warm
+// BenchmarkMicroDMUAddDependence round exactly.
+func TestDMUAddDependenceAllocs(t *testing.T) {
+	unit := dmu.New(dmu.DefaultConfig())
+	i := 0
+	round := func() {
+		dmuRound(t, unit, i)
+		i++
+	}
+	// Warm up past one full cycle of dependence addresses.
+	for i < 1024 {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("warm DMU round allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// replayDMU replays a complete dependence stream through a fresh standalone
+// DMU (no timing simulation), retiring a ready task whenever the structures
+// are full, and drains it.
+func replayDMU(tb testing.TB, specs []*task.Spec) {
+	unit := dmu.New(dmu.DefaultConfig())
+	retire := func() {
+		rt, _, ok := unit.GetReadyTask()
+		if !ok {
+			tb.Fatal("DMU full with empty ready queue")
 		}
-		addr := uint64(0x9000_0000 + (i%512)*4096)
-		if _, err := unit.AddDependence(d, addr, 4096, task.InOut); err != nil {
-			b.Fatal(err)
+		if _, err := unit.FinishTask(rt.DescAddr); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, s := range specs {
+		d := 0x7000_0000 + uint64(s.ID)*320
+		for !unit.CanCreateTask(d) {
+			retire()
+		}
+		if _, err := unit.CreateTask(d); err != nil {
+			tb.Fatal(err)
+		}
+		for _, dep := range s.Deps {
+			for !unit.CanAddDependence(d, dep.Addr, dep.Size, dep.Dir) {
+				retire()
+			}
+			if _, err := unit.AddDependence(d, dep.Addr, dep.Size, dep.Dir); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		if _, err := unit.SubmitTask(d); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		// Retire immediately so the structures never fill.
-		for {
-			rt, _, ok := unit.GetReadyTask()
-			if !ok {
-				break
-			}
-			if _, err := unit.FinishTask(rt.DescAddr); err != nil {
-				b.Fatal(err)
-			}
-		}
+	}
+	for !unit.Quiescent() {
+		retire()
 	}
 }
 
 // BenchmarkMicroDMUWholeCholesky replays the complete Cholesky dependence
 // stream through a standalone DMU (no timing simulation).
 func BenchmarkMicroDMUWholeCholesky(b *testing.B) {
-	bench, err := workloads.ByName("cholesky")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := bench.GenerateOptimal(true, machine.Default())
-	specs := prog.Tasks()
+	specs := mustProgram(b, "cholesky", true).Tasks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unit := dmu.New(dmu.DefaultConfig())
-		desc := func(id task.ID) uint64 { return 0x7000_0000 + uint64(id)*320 }
-		retire := func() {
-			rt, _, ok := unit.GetReadyTask()
-			if !ok {
-				b.Fatal("DMU full with empty ready queue")
-			}
-			if _, err := unit.FinishTask(rt.DescAddr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, s := range specs {
-			d := desc(s.ID)
-			for !unit.CanCreateTask(d) {
-				retire()
-			}
-			if _, err := unit.CreateTask(d); err != nil {
-				b.Fatal(err)
-			}
-			for _, dep := range s.Deps {
-				for !unit.CanAddDependence(d, dep.Addr, dep.Size, dep.Dir) {
-					retire()
-				}
-				if _, err := unit.AddDependence(d, dep.Addr, dep.Size, dep.Dir); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := unit.SubmitTask(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for !unit.Quiescent() {
-			retire()
-		}
+		replayDMU(b, specs)
 	}
 	b.ReportMetric(float64(len(specs)), "tasks/op")
+}
+
+// choleskyReplayAllocs is the measured allocation count of one
+// BenchmarkMicroDMUWholeCholesky replay; the test allows 2% on top.
+const choleskyReplayAllocs = 9321
+
+// TestDMUCholeskyReplayAllocs pins the allocation count of a whole-Cholesky
+// DMU replay.
+func TestDMUCholeskyReplayAllocs(t *testing.T) {
+	specs := mustProgram(t, "cholesky", true).Tasks()
+	allocs := testing.AllocsPerRun(5, func() { replayDMU(t, specs) })
+	if limit := choleskyReplayAllocs * 1.02; allocs > limit {
+		t.Fatalf("Cholesky DMU replay allocates %.0f objects, want <= %.0f", allocs, limit)
+	}
 }
 
 // BenchmarkMicroGoldenGraph measures building the reference dependence graph
@@ -310,11 +352,11 @@ func benchScheduler(b *testing.B, name string) {
 
 // --- small helpers ---
 
-func mustProgram(b *testing.B, name string, tdm bool) *task.Program {
-	b.Helper()
+func mustProgram(tb testing.TB, name string, tdm bool) *task.Program {
+	tb.Helper()
 	w, err := workloads.ByName(name)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return w.GenerateOptimal(tdm, machine.Default())
 }

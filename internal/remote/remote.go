@@ -1,7 +1,7 @@
 // Package remote moves simulation points over HTTP: it owns both ends of
 // the wire protocol between a sweep coordinator and its worker fleet.
 //
-// A worker (sweepd -worker) mounts WorkerHandler, which accepts one encoded
+// A worker (sweepd -worker) mounts Worker.Handler, which accepts one encoded
 // job per POST /execute request, runs it on the worker's local engine —
 // deduplicating against the worker's own store — and returns the result as
 // JSON. Executor is the client half: it implements runner.Executor against
@@ -203,12 +203,6 @@ func (wk *Worker) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(res)
 	})
-}
-
-// WorkerHandler is shorthand for (&Worker{Engine: engine}).Handler() — the
-// serving half with no logging or metrics wired.
-func WorkerHandler(engine *runner.Engine) http.Handler {
-	return (&Worker{Engine: engine}).Handler()
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -70,13 +70,13 @@ func TestJobCodecRejectsMutateAndGarbage(t *testing.T) {
 	}
 }
 
-// workerServer hosts a WorkerHandler over a real engine, as sweepd -worker
+// workerServer hosts a Worker's handler over a real engine, as sweepd -worker
 // does.
 func workerServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	engine := &runner.Engine{Base: testBase(), Store: runner.NewStore()}
 	mux := http.NewServeMux()
-	mux.Handle("POST /execute", WorkerHandler(engine))
+	mux.Handle("POST /execute", (&Worker{Engine: engine}).Handler())
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
